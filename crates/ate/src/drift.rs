@@ -69,6 +69,11 @@ impl DriftModel {
 
     /// Die temperature rise after `cycles` total applied vector cycles.
     pub fn temperature_rise(&self, cycles: u64) -> f64 {
+        // `0 × (1 − e^−x)` is exactly 0.0 for every cycle count; skip the
+        // `exp` on the drift-free strobe path.
+        if self.max_rise == 0.0 {
+            return 0.0;
+        }
         self.max_rise * (1.0 - (-(cycles as f64) / self.time_constant_cycles).exp())
     }
 }

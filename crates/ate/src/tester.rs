@@ -376,7 +376,7 @@ impl Ate {
         let (conditions, strobe) = self.conditioned(test, forces);
         self.ledger.record(pattern_cycles, conditions.clock.value());
         let true_params = self.device.evaluate_features(features, &conditions);
-        self.finish_measurement(true_params, strobe, &conditions)
+        self.finish_measurement(&true_params, strobe, &conditions)
     }
 
     /// [`Ate::measure_features`] with the stimulus' stress total already
@@ -395,7 +395,7 @@ impl Ate {
         let (conditions, strobe) = self.conditioned(test, forces);
         self.ledger.record(pattern_cycles, conditions.clock.value());
         let true_params = self.evaluate_cached(stress_total, &conditions);
-        self.finish_measurement(true_params, strobe, &conditions)
+        self.finish_measurement(&true_params, strobe, &conditions)
     }
 
     /// The effective conditions and strobe of one measurement: forced
@@ -406,36 +406,50 @@ impl Ate {
         test: &Test,
         forces: &[(ParamKind, f64)],
     ) -> (TestConditions, Option<f64>) {
-        let (mut conditions, strobe) = apply_forces(test.conditions(), forces);
-        // Session drift heats the die on top of the forced ambient.
-        let rise = self.config.drift.temperature_rise(self.ledger.cycles());
-        if rise > 0.0 {
-            conditions =
-                conditions.with_temperature(conditions.temperature + Celsius::new(rise));
-        }
-        (conditions, strobe)
+        let (conditions, strobe) = apply_forces(test.conditions(), forces);
+        (self.heated(conditions, self.ledger.cycles()), strobe)
     }
 
-    /// The measurement back half shared by the scalar and stress-hoisted
-    /// paths: three noise draws (t_dq, f_max, vdd_min order), the verdict,
-    /// and the fault layer. The ledger entry is recorded by the caller
-    /// *before* the device evaluation, matching the historical order.
+    /// `conditions` with the die heated by session drift after `cycles`
+    /// applied vector cycles, on top of the forced ambient.
+    fn heated(&self, conditions: TestConditions, cycles: u64) -> TestConditions {
+        let rise = self.config.drift.temperature_rise(cycles);
+        if rise > 0.0 {
+            conditions.with_temperature(conditions.temperature + Celsius::new(rise))
+        } else {
+            conditions
+        }
+    }
+
+    /// The measurement back half shared by every path: the three noisy
+    /// readings (t_dq, f_max, vdd_min order, each [`NoiseModel::read`]
+    /// against its forced value so verdict-certain strobes skip the noise
+    /// math), the verdict, and the fault layer. The ledger entry is
+    /// recorded by the caller *before* the device evaluation, matching the
+    /// historical order.
     fn finish_measurement(
         &mut self,
-        true_params: Parametrics,
+        true_params: &Parametrics,
         strobe: Option<f64>,
         conditions: &TestConditions,
     ) -> Probe {
-        let noise = &self.config.noise;
-        let t_dq = true_params.t_dq.value() + NoiseModel::sample(&mut self.rng, noise.t_dq_sigma());
-        let f_max =
-            true_params.f_max.value() + NoiseModel::sample(&mut self.rng, noise.f_max_sigma());
-        let vdd_min = true_params.vdd_min.value()
-            + NoiseModel::sample(&mut self.rng, noise.vdd_min_sigma());
-
-        let strobe_ok = strobe.is_none_or(|s| s <= t_dq);
-        let clock_ok = conditions.clock.value() <= f_max;
-        let vdd_ok = conditions.vdd.value() >= vdd_min;
+        let noise = self.config.noise;
+        let rng = &mut self.rng;
+        // Without a forced strobe any t_dq reading passes; its draw is
+        // still consumed.
+        let strobe_ok = match strobe {
+            Some(s) => s <= NoiseModel::read(rng, true_params.t_dq.value(), s, noise.t_dq_sigma()),
+            None => {
+                NoiseModel::skip(rng, noise.t_dq_sigma());
+                true
+            }
+        };
+        let clock = conditions.clock.value();
+        let clock_ok =
+            clock <= NoiseModel::read(rng, true_params.f_max.value(), clock, noise.f_max_sigma());
+        let vdd = conditions.vdd.value();
+        let vdd_ok =
+            vdd >= NoiseModel::read(rng, true_params.vdd_min.value(), vdd, noise.vdd_min_sigma());
         let verdict = if strobe_ok && clock_ok && vdd_ok {
             Probe::Pass
         } else {
@@ -508,36 +522,17 @@ impl Ate {
         scratch.strobes.reserve(values.len());
         // Pass 1: per-element conditions. Drift for element `i` is known
         // analytically — every element of the batch applies the same
-        // pattern, so its cycle counter reads `c0 + i·pattern_cycles`.
+        // pattern, so its cycle counter reads `c0 + i·pattern_cycles`. The
+        // base forces are applied once; the swept force goes on top, where
+        // a later force wins exactly as in the scalar path's force list.
         let c0 = self.ledger.cycles();
+        let (base, base_strobe) = apply_forces(test.conditions(), base_forces);
         for (i, &value) in values.iter().enumerate() {
-            let mut conditions = *test.conditions();
-            let mut strobe: Option<f64> = None;
-            let swept_force = (swept, value);
-            for &(kind, forced) in base_forces.iter().chain(std::iter::once(&swept_force)) {
-                match kind {
-                    ParamKind::StrobeDelay => strobe = Some(forced),
-                    ParamKind::SupplyVoltage => {
-                        conditions = conditions.with_vdd(Volts::new(forced))
-                    }
-                    ParamKind::ClockFrequency => {
-                        conditions = conditions.with_clock(Megahertz::new(forced))
-                    }
-                    ParamKind::Temperature => {
-                        conditions = conditions.with_temperature(Celsius::new(forced))
-                    }
-                }
-            }
-            let rise = self
-                .config
-                .drift
-                .temperature_rise(c0 + i as u64 * pattern_cycles);
-            if rise > 0.0 {
-                conditions =
-                    conditions.with_temperature(conditions.temperature + Celsius::new(rise));
-            }
-            scratch.conditions.push(conditions);
-            scratch.strobes.push(strobe);
+            let (conditions, strobe) = apply_forces(&base, &[(swept, value)]);
+            scratch
+                .conditions
+                .push(self.heated(conditions, c0 + i as u64 * pattern_cycles));
+            scratch.strobes.push(strobe.or(base_strobe));
         }
 
         // One pure device evaluation over the whole batch: the stress
@@ -552,29 +547,13 @@ impl Ate {
         }
 
         // Pass 2: sequential bookkeeping in exactly the scalar order —
-        // ledger record, three noise draws, verdict, fault layer.
-        let (t_dq_sigma, f_max_sigma, vdd_min_sigma) = (
-            self.config.noise.t_dq_sigma(),
-            self.config.noise.f_max_sigma(),
-            self.config.noise.vdd_min_sigma(),
-        );
+        // ledger record, then the shared verdict and fault layer.
         out.reserve(values.len());
-        for (i, params) in scratch.params.iter().enumerate() {
-            let conditions = &scratch.conditions[i];
+        for ((params, conditions), &strobe) in
+            scratch.params.iter().zip(&scratch.conditions).zip(&scratch.strobes)
+        {
             self.ledger.record(pattern_cycles, conditions.clock.value());
-            let t_dq = params.t_dq.value() + NoiseModel::sample(&mut self.rng, t_dq_sigma);
-            let f_max = params.f_max.value() + NoiseModel::sample(&mut self.rng, f_max_sigma);
-            let vdd_min =
-                params.vdd_min.value() + NoiseModel::sample(&mut self.rng, vdd_min_sigma);
-            let strobe_ok = scratch.strobes[i].is_none_or(|s| s <= t_dq);
-            let clock_ok = conditions.clock.value() <= f_max;
-            let vdd_ok = conditions.vdd.value() >= vdd_min;
-            let verdict = if strobe_ok && clock_ok && vdd_ok {
-                Probe::Pass
-            } else {
-                Probe::Fail
-            };
-            out.push(self.inject_faults(verdict));
+            out.push(self.finish_measurement(params, strobe, conditions));
         }
 
         scratch.conditions.clear();
@@ -768,6 +747,7 @@ mod tests {
     use cichar_dut::MemoryDevice;
     use cichar_patterns::{march, TestConditions};
     use cichar_search::{BinarySearch, SuccessiveApproximation};
+    use proptest::prelude::*;
 
     fn march_test() -> Test {
         Test::deterministic("march_c-", march::march_c_minus(64))
@@ -1209,6 +1189,291 @@ mod tests {
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(), run());
+    }
+
+    impl Ate {
+        /// The unscreened back half every strobe ran before noise
+        /// screening: three full draws, then the compare and the fault
+        /// layer. The reference the screened [`Ate::finish_measurement`]
+        /// must match in verdict, ledger and RNG state.
+        fn finish_measurement_reference(
+            &mut self,
+            true_params: &Parametrics,
+            strobe: Option<f64>,
+            conditions: &TestConditions,
+        ) -> Probe {
+            let noise = self.config.noise;
+            let t_dq =
+                true_params.t_dq.value() + NoiseModel::sample(&mut self.rng, noise.t_dq_sigma());
+            let f_max =
+                true_params.f_max.value() + NoiseModel::sample(&mut self.rng, noise.f_max_sigma());
+            let vdd_min = true_params.vdd_min.value()
+                + NoiseModel::sample(&mut self.rng, noise.vdd_min_sigma());
+            let strobe_ok = strobe.is_none_or(|s| s <= t_dq);
+            let clock_ok = conditions.clock.value() <= f_max;
+            let vdd_ok = conditions.vdd.value() >= vdd_min;
+            let verdict = if strobe_ok && clock_ok && vdd_ok {
+                Probe::Pass
+            } else {
+                Probe::Fail
+            };
+            self.inject_faults(verdict)
+        }
+
+        /// [`Ate::measure_features`] through the unscreened reference.
+        fn measure_features_reference(
+            &mut self,
+            features: &PatternFeatures,
+            pattern_cycles: u64,
+            test: &Test,
+            forces: &[(ParamKind, f64)],
+        ) -> Probe {
+            let (conditions, strobe) = self.conditioned(test, forces);
+            self.ledger.record(pattern_cycles, conditions.clock.value());
+            let true_params = self.device.evaluate_features(features, &conditions);
+            self.finish_measurement_reference(&true_params, strobe, &conditions)
+        }
+
+        /// Everything a screened session must share with its reference
+        /// twin after each measurement.
+        fn screen_state(&self) -> (MeasurementLedger, StdRng, StdRng, FaultState) {
+            (self.ledger, self.rng.clone(), self.fault_rng.clone(), self.fault_state)
+        }
+    }
+
+    /// Noise sigmas (t_dq ns, f_max MHz, vdd_min V) for the screening
+    /// properties: zero, ulp scale against limits near 30, the default
+    /// tester, and a very noisy one.
+    fn screen_noise(regime: usize, ulp_exp: f64) -> NoiseModel {
+        match regime {
+            0 => NoiseModel::noiseless(),
+            1 => {
+                let s = 10f64.powf(ulp_exp);
+                NoiseModel::new(s, s, s)
+            }
+            2 => NoiseModel::default(),
+            _ => NoiseModel::new(3.0, 20.0, 0.3),
+        }
+    }
+
+    fn screen_config(regime: usize, ulp_exp: f64, faulty: bool, seed: u64) -> AteConfig {
+        AteConfig {
+            noise: screen_noise(regime, ulp_exp),
+            drift: DriftModel::none(),
+            faults: if faulty {
+                TesterFaultModel::transient(0.05, 0.05)
+                    .with_stuck_channels(0.02, 3)
+                    .with_session_aborts(0.01, 4)
+            } else {
+                TesterFaultModel::none()
+            },
+            seed,
+        }
+    }
+
+    /// A limit near `forced`: a multiple of the noise-screen bound (so
+    /// margins straddle it), nudged by a few ulps, or a non-finite value.
+    fn limit_near(rng: &mut StdRng, forced: f64, sigma: f64) -> f64 {
+        match rng.gen_range(0..12u32) {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => f64::NAN,
+            3 => forced,
+            _ => {
+                let bound = 9.0 * sigma + 4.0 * f64::EPSILON * forced.abs();
+                let mut limit = forced + rng.gen_range(-2.0f64..2.0) * bound;
+                for _ in 0..rng.gen_range(0..6u32) {
+                    limit = if rng.gen::<bool>() { limit.next_up() } else { limit.next_down() };
+                }
+                limit
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The scalar back half: over limits straddling the screen bound
+        /// at every sigma scale, ±∞ and NaN limits, with and without a
+        /// forced strobe and with faults on or off, the screened verdict,
+        /// ledger and RNG state equal the unscreened reference after every
+        /// measurement.
+        #[test]
+        fn screened_scalar_path_matches_reference(
+            seed in 0u64..u64::MAX,
+            regime in 0usize..4,
+            ulp_exp in -18.0f64..-12.0,
+            faulty in 0u32..2,
+        ) {
+            let config = screen_config(regime, ulp_exp, faulty == 1, seed);
+            let noise = config.noise;
+            let mut screened = Ate::with_config(MemoryDevice::nominal(), config);
+            let mut reference = screened.clone();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FF_EE00);
+            for i in 0..200 {
+                let strobe = rng.gen::<bool>().then(|| rng.gen_range(25.0..35.0));
+                let conditions = TestConditions::nominal()
+                    .with_clock(Megahertz::new(rng.gen_range(20.0..140.0)))
+                    .with_vdd(Volts::new(rng.gen_range(1.0..2.0)));
+                let forced_strobe = strobe.unwrap_or(30.0);
+                let params = Parametrics {
+                    t_dq: cichar_units::Nanoseconds::new(
+                        limit_near(&mut rng, forced_strobe, noise.t_dq_sigma()),
+                    ),
+                    f_max: Megahertz::new(
+                        limit_near(&mut rng, conditions.clock.value(), noise.f_max_sigma()),
+                    ),
+                    vdd_min: Volts::new(
+                        limit_near(&mut rng, conditions.vdd.value(), noise.vdd_min_sigma()),
+                    ),
+                };
+                let got = screened.finish_measurement(&params, strobe, &conditions);
+                let want = reference.finish_measurement_reference(&params, strobe, &conditions);
+                prop_assert_eq!(got, want, "strobe {} params {:?}", i, params);
+                prop_assert_eq!(screened.screen_state(), reference.screen_state(), "strobe {}", i);
+            }
+        }
+
+        /// The batched path: sweeps of all three parameters straddling
+        /// the device's own trip point by multiples of the screen bound
+        /// and by ulps, measured as one batch, equal the same values
+        /// measured one at a time through the unscreened reference —
+        /// verdicts, ledger and RNG state after every batch.
+        #[test]
+        fn screened_batch_path_matches_reference(
+            seed in 0u64..u64::MAX,
+            regime in 0usize..4,
+            ulp_exp in -18.0f64..-12.0,
+            faulty in 0u32..2,
+        ) {
+            let config = screen_config(regime, ulp_exp, faulty == 1, seed);
+            let noise = config.noise;
+            let mut screened = Ate::with_config(MemoryDevice::nominal(), config);
+            let mut reference = screened.clone();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C_4000);
+            let t = march_test();
+            let pattern = t.pattern();
+            let features = PatternFeatures::extract(&pattern);
+            let cycles = pattern.len() as u64;
+            let mut batch = Vec::new();
+            for round in 0..12 {
+                let param = [
+                    MeasuredParam::DataValidTime,
+                    MeasuredParam::MaxFrequency,
+                    MeasuredParam::MinVoltage,
+                ][round % 3];
+                let (relaxed, _) = apply_forces(t.conditions(), param.relax_forces());
+                let truth = screened.device().evaluate_features(&features, &relaxed);
+                let (trip, sigma) = match param {
+                    MeasuredParam::DataValidTime => (truth.t_dq.value(), noise.t_dq_sigma()),
+                    MeasuredParam::MaxFrequency => (truth.f_max.value(), noise.f_max_sigma()),
+                    MeasuredParam::MinVoltage => (truth.vdd_min.value(), noise.vdd_min_sigma()),
+                };
+                let values: Vec<f64> = (0..40).map(|_| limit_near(&mut rng, trip, sigma)).collect();
+                batch.clear();
+                screened.measure_features_batch_into(
+                    &features,
+                    cycles,
+                    &t,
+                    param.relax_forces(),
+                    param.kind(),
+                    &values,
+                    &mut batch,
+                );
+                for (i, &v) in values.iter().enumerate() {
+                    let mut forces = param.relax_forces().to_vec();
+                    forces.push((param.kind(), v));
+                    let want = reference.measure_features_reference(&features, cycles, &t, &forces);
+                    prop_assert_eq!(batch[i], want, "round {} value {}", round, v);
+                }
+                prop_assert_eq!(
+                    screened.screen_state(),
+                    reference.screen_state(),
+                    "round {}",
+                    round
+                );
+            }
+        }
+    }
+
+    /// Hash of the verdict stream and final ledger of one fixed-seed
+    /// session with noise, drift and every fault class on, sweeping all
+    /// three parameters across their trip points through both the scalar
+    /// and the batched path. Pinned: any change to the noise or fault
+    /// stream consumption, the comparison, or the ledger fails here.
+    #[test]
+    fn pinned_stream_fingerprint() {
+        const PINNED: u64 = 0x33e1_efab_cc98_de2b;
+        let faults = TesterFaultModel::transient(0.01, 0.01)
+            .with_stuck_channels(0.005, 3)
+            .with_session_aborts(0.002, 4)
+            .with_stalls(0.01, 50.0);
+        let config = AteConfig {
+            noise: NoiseModel::new(0.05, 0.5, 0.01),
+            drift: DriftModel::new(10.0, 2e6),
+            faults,
+            seed: 0x5EED,
+        };
+        let mut ate = Ate::with_config(MemoryDevice::nominal(), config);
+        let t = march_test();
+        let pattern = t.pattern();
+        let features = PatternFeatures::extract(&pattern);
+        let cycles = pattern.len() as u64;
+        let sweeps = [
+            (MeasuredParam::DataValidTime, 28.0, 36.0),
+            (MeasuredParam::MaxFrequency, 95.0, 135.0),
+            (MeasuredParam::MinVoltage, 1.2, 1.6),
+        ];
+        let mut h = 0xF1A9_E4B1_u64;
+        let mut values = Vec::new();
+        let mut verdicts = Vec::new();
+        for round in 0..20u32 {
+            for &(param, lo, hi) in &sweeps {
+                // 200 points per round: even rounds strobe one at a time,
+                // odd rounds batch the same sweep.
+                values.clear();
+                values.extend((0..200).map(|i| lo + (hi - lo) * f64::from(i) / 199.0));
+                verdicts.clear();
+                if round % 2 == 0 {
+                    for &v in &values {
+                        verdicts.push(ate.measure(&t, param, v));
+                    }
+                } else {
+                    ate.measure_features_batch_into(
+                        &features,
+                        cycles,
+                        &t,
+                        param.relax_forces(),
+                        param.kind(),
+                        &values,
+                        &mut verdicts,
+                    );
+                }
+                for v in &verdicts {
+                    h = mix(h, *v as u64);
+                }
+            }
+        }
+        let rng_word: u64 = ate.rng.gen();
+        let l = ate.ledger();
+        for word in [
+            l.measurements(),
+            l.cycles(),
+            l.dropouts(),
+            l.flips(),
+            l.stuck_probes(),
+            l.aborts(),
+            l.stalls(),
+            l.stall_time_us().to_bits(),
+            l.test_time_ms().to_bits(),
+            rng_word,
+        ] {
+            h = mix(h, word);
+        }
+        assert_eq!(l.measurements(), 12_000);
+        assert!(l.flips() > 0 && l.dropouts() > 0 && l.stuck_probes() > 0);
+        assert!(l.aborts() > 0 && l.stalls() > 0, "every fault class fired");
+        assert_eq!(h, PINNED, "stream fingerprint moved: {h:#018x}");
     }
 
     #[test]
