@@ -466,9 +466,9 @@ impl Ate {
     /// by the pattern's cycle count between elements, and the noise and
     /// fault RNG streams are consumed in exactly the scalar order — but
     /// the device response is evaluated once over the whole batch
-    /// ([`MemoryDevice::evaluate_batch`] hoists the pattern's stress
-    /// breakdown out of the per-value loop), which is what the batched
-    /// oracle call sites buy.
+    /// ([`MemoryDevice::evaluate_batch`](cichar_dut::MemoryDevice::evaluate_batch)
+    /// hoists the pattern's stress breakdown out of the per-value loop),
+    /// which is what the batched oracle call sites buy.
     ///
     /// `base_forces` are applied to every element (§4 relaxation);
     /// `swept` is forced to each of `values` in turn.

@@ -499,6 +499,24 @@ mod tests {
     }
 
     #[test]
+    fn weight_file_load_rejects_malformed_networks() {
+        let model = learn(CodingScheme::Numeric, 6);
+        let dir = std::env::temp_dir().join("cichar_weight_file");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("malformed.json");
+        model.save_weight_file(&path).expect("save");
+        let json = std::fs::read_to_string(&path).expect("read");
+        // One extra momentum entry on the first member's first layer.
+        let key = "\"bias_velocity\": [";
+        assert!(json.contains(key), "pretty weight file format changed");
+        std::fs::write(&path, json.replacen(key, "\"bias_velocity\": [0.5, ", 1)).expect("write");
+        let err = LearnedModel::load_weight_file(&path).expect_err("malformed member");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bias_velocity"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     #[should_panic(expected = "needs tests to learn")]
     fn rejects_empty_budget() {
         let _ = LearningScheme::new(LearningConfig {

@@ -4,7 +4,7 @@ use crate::dataset::{Dataset, NeuralError};
 use crate::mlp::Mlp;
 use crate::train::{TrainConfig, TrainReport, Trainer};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// One committee prediction: the member votes, their mean and spread.
@@ -50,6 +50,9 @@ impl fmt::Display for Vote {
 /// tests; prediction averages the member outputs, and the vote spread is
 /// the consistency check of fig. 4's step (4).
 ///
+/// Deserializing applies [`Committee::from_members`]'s checks, and a
+/// trained committee's file must carry one report per member.
+///
 /// # Examples
 ///
 /// ```
@@ -66,10 +69,32 @@ impl fmt::Display for Vote {
 /// assert!(vote.confidence() > 0.5);
 /// # Ok::<(), cichar_neural::NeuralError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Committee {
     members: Vec<Mlp>,
     reports: Vec<TrainReport>,
+}
+
+impl Deserialize for Committee {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Fields {
+            members: Vec<Mlp>,
+            reports: Vec<TrainReport>,
+        }
+        let Fields { members, reports } = Fields::from_value(v)?;
+        let mut committee =
+            Self::from_members(members).map_err(|e| serde::Error::custom(e.to_string()))?;
+        if !reports.is_empty() && reports.len() != committee.size() {
+            return Err(serde::Error::custom(format!(
+                "{} reports for {} members",
+                reports.len(),
+                committee.size()
+            )));
+        }
+        committee.reports = reports;
+        Ok(committee)
+    }
 }
 
 impl Committee {
@@ -95,54 +120,6 @@ impl Committee {
             let subset = data.bootstrap(rng);
             let mut mlp = Mlp::new(topology, rng)?;
             let report = trainer.train(&mut mlp, &subset, rng);
-            members.push(mlp);
-            reports.push(report);
-        }
-        Ok(Self { members, reports })
-    }
-
-    /// Trains the committee with members fanned out across worker
-    /// threads.
-    ///
-    /// One campaign seed is drawn from `rng` up front and each member
-    /// trains on its own RNG seeded by
-    /// [`derive_seed`](cichar_exec::derive_seed)`(campaign, member index)`
-    /// — members never share a random stream, so the committee is
-    /// bit-identical for every thread count (including
-    /// [`ExecPolicy::serial`](cichar_exec::ExecPolicy::serial)). The
-    /// member-RNG discipline differs from [`Committee::train`]'s single
-    /// interleaved stream, so the two constructors produce *different*
-    /// (equally valid) committees from the same `rng` state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates topology errors; `size` of zero is a topology error too.
-    pub fn train_parallel<R: Rng + ?Sized>(
-        topology: &[usize],
-        size: usize,
-        config: &TrainConfig,
-        data: &Dataset,
-        policy: cichar_exec::ExecPolicy,
-        rng: &mut R,
-    ) -> Result<Self, NeuralError> {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        if size == 0 {
-            return Err(NeuralError::BadTopology);
-        }
-        let campaign: u64 = rng.gen();
-        let trainer = Trainer::new(*config);
-        let trained = cichar_exec::par_map(policy, (0..size as u64).collect(), |_, member| {
-            let mut member_rng = StdRng::seed_from_u64(cichar_exec::derive_seed(campaign, member));
-            let subset = data.bootstrap(&mut member_rng);
-            let mut mlp = Mlp::new(topology, &mut member_rng)?;
-            let report = trainer.train(&mut mlp, &subset, &mut member_rng);
-            Ok::<(Mlp, TrainReport), NeuralError>((mlp, report))
-        });
-        let mut members = Vec::with_capacity(size);
-        let mut reports = Vec::with_capacity(size);
-        for result in trained {
-            let (mlp, report) = result?;
             members.push(mlp);
             reports.push(report);
         }
@@ -260,46 +237,39 @@ mod tests {
         assert!(c.mean_validation_error() < 0.01);
     }
 
-    #[test]
-    fn parallel_training_is_thread_count_invariant() {
-        use cichar_exec::ExecPolicy;
-        let data = line_dataset(60);
-        let train = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(15);
-            Committee::train_parallel(
-                &[1, 8, 1],
-                5,
-                &TrainConfig::default(),
-                &data,
-                ExecPolicy::with_threads(threads),
-                &mut rng,
-            )
-            .expect("trains")
-        };
-        let serial = train(1);
-        let wide = train(8);
-        assert_eq!(serial, wide);
-        // And it learns the line as well as the sequential constructor.
-        let v = serial.vote(&[0.5]);
-        assert!((v.mean[0] - 0.5).abs() < 0.1, "vote {v}");
-        assert!(serial.accepted(), "all members should pass checks");
+    /// FNV-1a over the serialized committee: every member weight,
+    /// velocity and bias (floats print in shortest round-trip form, so the
+    /// text is bit-exact) plus every `TrainReport` history.
+    fn fingerprint(c: &Committee) -> u64 {
+        let json = serde_json::to_string(c).expect("serializes");
+        json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
     }
 
     #[test]
-    fn parallel_training_rejects_zero_size() {
-        use cichar_exec::ExecPolicy;
-        let mut rng = StdRng::seed_from_u64(16);
-        assert!(matches!(
-            Committee::train_parallel(
-                &[1, 1],
-                0,
-                &TrainConfig::default(),
-                &line_dataset(10),
-                ExecPolicy::serial(),
-                &mut rng,
-            ),
-            Err(NeuralError::BadTopology)
-        ));
+    fn seeded_committee_training_is_pinned() {
+        // Pinned before the flat-buffer MLP replaced the nested-row one:
+        // training must reproduce every bit of the committee.
+        let inputs: Vec<Vec<f64>> = (0..48)
+            .map(|i| {
+                let x = i as f64 / 47.0;
+                vec![x, 1.0 - x, (3.0 * x).sin(), 0.5]
+            })
+            .collect();
+        let targets: Vec<Vec<f64>> = inputs
+            .iter()
+            .map(|x| vec![0.2 + 0.6 * x[0] * x[0], 0.5 * x[2].abs()])
+            .collect();
+        let data = Dataset::new(inputs, targets).expect("valid");
+        let config = TrainConfig {
+            epochs: 120,
+            weight_decay: 1e-4,
+            ..TrainConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(13);
+        let c = Committee::train(&[4, 6, 2], 5, &config, &data, &mut rng).expect("trains");
+        assert_eq!(fingerprint(&c), 17_704_343_480_936_330_137);
     }
 
     #[test]
@@ -324,6 +294,34 @@ mod tests {
         let c = Committee::from_members(vec![a.clone(), a]).expect("homogeneous");
         assert_eq!(c.size(), 2);
         assert!(c.mean_validation_error().is_nan(), "no reports when re-loaded");
+    }
+
+    #[test]
+    fn deserializing_rejects_malformed_committees() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let c = Committee::train(&[1, 3, 1], 2, &TrainConfig::default(), &line_dataset(20), &mut rng)
+            .expect("trains");
+        let json = serde_json::to_string(&c).expect("serializes");
+        assert_eq!(serde_json::from_str::<Committee>(&json).expect("parses"), c);
+
+        let empty = r#"{"members":[],"reports":[]}"#;
+        assert!(serde_json::from_str::<Committee>(empty).is_err());
+
+        let other = Mlp::new(&[1, 4, 1], &mut rng).expect("valid");
+        let mixed = Committee {
+            members: vec![c.members[0].clone(), other],
+            reports: Vec::new(),
+        };
+        let mixed = serde_json::to_string(&mixed).expect("serializes");
+        assert!(serde_json::from_str::<Committee>(&mixed).is_err());
+
+        let short = Committee {
+            members: c.members.clone(),
+            reports: c.reports[..1].to_vec(),
+        };
+        let short = serde_json::to_string(&short).expect("serializes");
+        let err = serde_json::from_str::<Committee>(&short).expect_err("one report short");
+        assert!(err.to_string().contains("1 reports for 2 members"), "{err}");
     }
 
     #[test]

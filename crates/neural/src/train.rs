@@ -147,7 +147,7 @@ impl Trainer {
             if train_mse < c.target_mse {
                 break;
             }
-            let val_mse = mlp.mse(val.inputs(), val.targets());
+            let val_mse = mlp.mse_with_scratch(val.inputs(), val.targets());
             if val_mse + 1e-12 < best_val {
                 best_val = val_mse;
                 stale = 0;
@@ -158,8 +158,8 @@ impl Trainer {
                 }
             }
         }
-        let final_train_mse = mlp.mse(train.inputs(), train.targets());
-        let final_val_mse = mlp.mse(val.inputs(), val.targets());
+        let final_train_mse = mlp.mse_with_scratch(train.inputs(), train.targets());
+        let final_val_mse = mlp.mse_with_scratch(val.inputs(), val.targets());
         let learnable = final_train_mse <= c.learnability_mse;
         let generalizes =
             final_val_mse <= c.generalization_ratio * final_train_mse.max(1e-4) + 1e-3;
