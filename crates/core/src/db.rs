@@ -691,6 +691,93 @@ mod tests {
         }
     }
 
+    /// The original insertion: push, stable sort by WCR (largest first),
+    /// pop the smallest when over capacity, and recompute the evicted
+    /// test's identity.
+    struct ReferenceDb {
+        capacity: usize,
+        entries: Vec<WorstCaseTest>,
+        failures: Vec<WorstCaseTest>,
+        seen: HashSet<u64>,
+    }
+
+    impl ReferenceDb {
+        fn insert(&mut self, record: WorstCaseTest) -> bool {
+            let id = record.test.identity();
+            if !self.seen.insert(id) {
+                return false;
+            }
+            if record.class == WcrClass::Fail {
+                self.failures.push(record);
+                return true;
+            }
+            self.entries.push(record);
+            self.entries.sort_by(|a, b| b.wcr.total_cmp(&a.wcr));
+            if self.entries.len() > self.capacity {
+                let evicted = self.entries.pop().expect("over capacity");
+                self.seen.remove(&evicted.test.identity());
+                return !self.seen.is_empty() && self.seen.contains(&id);
+            }
+            true
+        }
+    }
+
+    /// A record drawn from a small pool of stimuli, conditions and WCRs, so
+    /// ties, duplicate stimuli under fresh names and failures are common.
+    fn pooled_record(rng: &mut impl rand::Rng, serial: usize) -> WorstCaseTest {
+        const WCRS: [f64; 6] = [0.5, 0.7, 0.7, 0.9, 1.0, 1.2];
+        let pattern = match rng.gen_range(0..3) {
+            0 => march::march_c_minus(10),
+            1 => march::march_x(17),
+            _ => march::march_y(13),
+        };
+        let vdd_mv = 1700 + 10 * rng.gen_range(0..3u32);
+        let wcr = WCRS[rng.gen_range(0..WCRS.len())];
+        let test = Test::deterministic(format!("r{serial}"), pattern).with_conditions(
+            cichar_patterns::TestConditions::nominal()
+                .with_vdd(Volts::new(f64::from(vdd_mv) / 1000.0)),
+        );
+        WorstCaseTest {
+            test,
+            trip_point: 20.0 / wcr + serial as f64,
+            wcr,
+            class: WcrClass::from_wcr(wcr),
+            predicted_severity: None,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+        #[test]
+        fn inserts_match_the_sort_and_pop_reference(seed: u64) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let capacity = rng.gen_range(1..=5);
+            let inserts = rng.gen_range(1..=30);
+            let save_after = rng.gen_range(0..inserts);
+            let mut db = WorstCaseDatabase::new(capacity);
+            let mut reference = ReferenceDb {
+                capacity,
+                entries: Vec::new(),
+                failures: Vec::new(),
+                seen: HashSet::new(),
+            };
+            for serial in 0..inserts {
+                let record = pooled_record(&mut rng, serial);
+                proptest::prop_assert_eq!(db.insert(record.clone()), reference.insert(record));
+                proptest::prop_assert_eq!(db.entries(), &reference.entries[..]);
+                proptest::prop_assert_eq!(db.failures(), &reference.failures[..]);
+                if serial == save_after {
+                    // Later inserts continue on the reloaded database.
+                    let path = std::env::temp_dir().join(format!("cichar_db_ref_{seed}.json"));
+                    db.save(&path).expect("save");
+                    db = WorstCaseDatabase::load(&path).expect("load");
+                    std::fs::remove_file(&path).ok();
+                }
+            }
+        }
+    }
+
     #[test]
     fn display_lists_entries() {
         let mut db = WorstCaseDatabase::new(4);

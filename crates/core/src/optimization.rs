@@ -993,6 +993,64 @@ mod tests {
         assert_eq!(*batched.ledger(), *scalar.ledger());
     }
 
+    /// FNV-1a over the database (names, trip points, WCRs, in order) and
+    /// the measurement ledger of one run.
+    fn outcome_digest(outcome: &OptimizationOutcome, ledger: &MeasurementLedger) -> u64 {
+        let mut text = String::new();
+        for e in outcome.database.entries().iter().chain(outcome.database.failures()) {
+            text.push_str(&format!(
+                "{} {:016x} {:016x}\n",
+                e.test.name(),
+                e.trip_point.to_bits(),
+                e.wcr.to_bits()
+            ));
+        }
+        text.push_str(&serde_json::to_string(ledger).expect("ledger serializes"));
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A seeded campaign small enough to evict on almost every insert,
+    /// with noisy measurements and evolving conditions. The pinned
+    /// digests were recorded before GA fitness stopped re-expanding each
+    /// stimulus for the database.
+    #[test]
+    fn seeded_runs_are_pinned() {
+        use cichar_ate::AteConfig;
+        let scheme = OptimizationScheme::new(OptimizationConfig {
+            database_capacity: 3,
+            evolve_conditions: true,
+            ..small_config()
+        });
+        let config = AteConfig {
+            seed: 61,
+            ..AteConfig::default()
+        };
+        let mut ate = Ate::with_config(MemoryDevice::nominal(), config.clone());
+        let sequential = scheme.run(&mut ate, &[], None, &mut StdRng::seed_from_u64(62));
+        assert_eq!(
+            outcome_digest(&sequential, ate.ledger()),
+            0x3756_a0c3_c2c5_62dd,
+            "sequential run moved"
+        );
+        let blueprint = ParallelAte::new(MemoryDevice::nominal(), config);
+        for threads in [1, 2] {
+            let (outcome, ledger) = scheme.run_parallel(
+                &blueprint,
+                &[],
+                None,
+                ExecPolicy::with_threads(threads),
+                &mut StdRng::seed_from_u64(62),
+            );
+            assert_eq!(
+                outcome_digest(&outcome, &ledger),
+                0x6c02_5cd1_61c9_6449,
+                "parallel run at {threads} threads moved"
+            );
+        }
+    }
+
     #[test]
     fn outcome_display_mentions_cost() {
         let scheme = OptimizationScheme::new(small_config());

@@ -21,6 +21,9 @@ use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
+#[cfg(test)]
+mod reference;
+
 /// How a segment sequences the address bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AddrMode {
@@ -695,6 +698,116 @@ mod tests {
     fn error_display_mentions_numbers() {
         assert!(ProgramError::SegmentLen(200).to_string().contains("200"));
         assert!(ProgramError::SegmentCount(0).to_string().contains('0'));
+    }
+
+    fn seg(op: OpMode, addr: AddrMode, data: DataMode, len: u16, base: u16) -> Segment {
+        Segment::new(op, addr, data, len, base).expect("valid segment")
+    }
+
+    fn assert_matches_reference(program: &SegmentProgram) {
+        assert_eq!(program.expand(), reference::expand(program), "{program:?}");
+    }
+
+    #[test]
+    fn reads_of_unwritten_cells_match_the_full_image() {
+        assert_matches_reference(
+            &SegmentProgram::new(vec![
+                seg(OpMode::ReadOnly, AddrMode::Lcg { seed: 7 }, DataMode::Constant(0), 125, 0),
+                seg(OpMode::ReadOnly, AddrMode::Sequential { stride: -1 }, DataMode::Constant(0), 125, 3),
+            ])
+            .expect("valid"),
+        );
+    }
+
+    #[test]
+    fn repeated_writes_to_one_address_keep_the_last_word() {
+        let program = SegmentProgram::new(vec![
+            seg(OpMode::WriteOnly, AddrMode::Hold, DataMode::Lcg(3), 50, 0xBEEF),
+            seg(OpMode::ReadOnly, AddrMode::Hold, DataMode::Constant(0), 50, 0xBEEF),
+        ])
+        .expect("valid");
+        let pattern = program.expand();
+        let last_write = pattern.vectors()[49].data;
+        assert!(pattern.vectors()[50..100].iter().all(|v| v.data == last_write));
+        assert_matches_reference(&program);
+    }
+
+    #[test]
+    fn writes_persist_across_loops_and_segments() {
+        // Loop 1 reads the power-up background; loops 2 and 3 read what
+        // the second segment of the previous loop wrote.
+        let program = SegmentProgram::new(vec![
+            seg(OpMode::ReadOnly, AddrMode::Sequential { stride: 1 }, DataMode::Constant(0), 50, 0x100),
+            seg(OpMode::WriteOnly, AddrMode::Sequential { stride: 1 }, DataMode::Constant(0xABCD), 50, 0x100),
+        ])
+        .expect("valid")
+        .with_loops(3);
+        let pattern = program.expand();
+        assert_eq!(pattern.vectors()[0].data, power_up_word(0x100));
+        assert!(pattern.vectors()[100..150].iter().all(|v| v.data == 0xABCD));
+        assert_matches_reference(&program);
+    }
+
+    #[test]
+    fn toggle_row_bounce_and_lcg_modes_match_the_full_image() {
+        let program = SegmentProgram::new(vec![
+            seg(OpMode::AlternateWriteRead, AddrMode::Toggle { mask: 0x0F0F }, DataMode::InvertPrevious, 40, 0x1234),
+            seg(OpMode::WritePairRead, AddrMode::RowBounce { distance: 200 }, DataMode::WalkingOne, 41, 0xFF00),
+            seg(OpMode::WriteOnceReadBurst, AddrMode::Lcg { seed: 0xFFFF }, DataMode::Lcg(0xFFFF), 125, 0),
+            seg(OpMode::ReadOnly, AddrMode::RowBounce { distance: 1 }, DataMode::Alternating(0x5555), 33, 0xFF00),
+        ])
+        .expect("valid")
+        .with_loops(2);
+        assert_matches_reference(&program);
+    }
+
+    #[test]
+    fn truncation_at_the_cycle_cap_matches_the_full_image() {
+        let segments = (0..8u16)
+            .map(|k| seg(OpMode::AlternateWriteRead, AddrMode::Lcg { seed: k }, DataMode::Lcg(k), 125, 0))
+            .collect();
+        let program = SegmentProgram::new(segments).expect("valid").with_loops(10);
+        assert_eq!(program.expand().len(), crate::MAX_PATTERN_LEN);
+        assert_matches_reference(&program);
+    }
+
+    /// A gene string for 1..=8 segments whose bases and address
+    /// parameters are often tiny, so segments collide on the same cells.
+    fn colliding_genes(seed: u64) -> Vec<u32> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let small_or_any = |rng: &mut rand::rngs::StdRng| {
+            if rng.gen::<bool>() {
+                rng.gen_range(0..8)
+            } else {
+                u32::from(rng.gen::<u16>())
+            }
+        };
+        let mut genes = vec![
+            rng.gen_range(1..=GENOME_SEGMENTS as u32),
+            rng.gen_range(1..=u32::from(MAX_LOOPS)),
+        ];
+        for _ in 0..GENOME_SEGMENTS {
+            let op = rng.gen_range(0..5);
+            let addr = rng.gen_range(0..5);
+            let addr_p = small_or_any(&mut rng);
+            let data = rng.gen_range(0..5);
+            let data_p = u32::from(rng.gen::<u16>());
+            let len = rng.gen_range(u32::from(MIN_SEGMENT_LEN)..=u32::from(MAX_SEGMENT_LEN));
+            let base = small_or_any(&mut rng);
+            genes.extend_from_slice(&[op, addr, addr_p, data, data_p, len, base]);
+        }
+        genes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn sparse_expansion_matches_the_full_image(seed: u64) {
+            let program = SegmentProgram::from_genes(&colliding_genes(seed))
+                .expect("bounded genes decode");
+            prop_assert_eq!(program.expand(), reference::expand(&program));
+        }
     }
 
     proptest! {
