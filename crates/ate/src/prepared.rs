@@ -70,6 +70,12 @@ impl<'t> PreparedTest<'t> {
     pub(crate) fn pattern_hash(&self) -> u64 {
         self.pattern_hash
     }
+
+    /// The test's [`Test::identity`], from the hash computed at
+    /// preparation instead of a fresh expansion.
+    pub fn identity(&self) -> u64 {
+        self.test.identity_from_hash(self.pattern_hash)
+    }
 }
 
 #[cfg(test)]
@@ -85,6 +91,7 @@ mod tests {
         assert_eq!(prepared.pattern_cycles(), pattern.len() as u64);
         assert_eq!(prepared.pattern_hash(), pattern.content_hash());
         assert_eq!(*prepared.features(), PatternFeatures::extract(&pattern));
+        assert_eq!(prepared.identity(), test.identity());
         assert_eq!(prepared.test().name(), "march_c-");
     }
 }

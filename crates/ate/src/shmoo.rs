@@ -145,15 +145,15 @@ impl ShmooPlot {
     ///
     /// Returns `None` if the whole row shares one state.
     pub fn row_boundary(&self, yi: usize, order: RegionOrder) -> Option<f64> {
-        let row: Vec<bool> = (0..self.x.len()).map(|xi| self.at(xi, yi)).collect();
-        let indices: Vec<usize> = match order {
-            RegionOrder::PassBelowFail => (0..self.x.len()).collect(),
-            RegionOrder::PassAboveFail => (0..self.x.len()).rev().collect(),
-        };
+        let n = self.x.len();
         let mut last_pass = None;
-        for &i in &indices {
-            if row[i] {
-                last_pass = Some(self.x.at(i));
+        for k in 0..n {
+            let xi = match order {
+                RegionOrder::PassBelowFail => k,
+                RegionOrder::PassAboveFail => n - 1 - k,
+            };
+            if self.at(xi, yi) {
+                last_pass = Some(self.x.at(xi));
             } else {
                 return last_pass;
             }
@@ -422,6 +422,31 @@ mod tests {
             .row_boundary(6, RegionOrder::PassBelowFail)
             .expect("boundary on axis");
         assert!(high > low, "window widens with Vdd: {low} vs {high}");
+    }
+
+    #[test]
+    fn row_boundary_scans_from_the_pass_side_in_both_orders() {
+        // x = 0, 1, 2, 3, 4 ns; rows: all pass, all fail, a hole at x = 1.
+        let x = Axis::new(ParamKind::StrobeDelay, 0.0, 4.0, 5).expect("valid");
+        let y = Axis::new(ParamKind::SupplyVoltage, 1.5, 2.1, 3).expect("valid");
+        let rows = [
+            [true, true, true, true, true],
+            [false, false, false, false, false],
+            [true, false, true, true, true],
+        ];
+        let plot = ShmooPlot {
+            x,
+            y,
+            grid: rows.concat(),
+        };
+        let below = RegionOrder::PassBelowFail;
+        let above = RegionOrder::PassAboveFail;
+        assert_eq!(plot.row_boundary(0, below), None, "never fails");
+        assert_eq!(plot.row_boundary(0, above), None, "never fails");
+        assert_eq!(plot.row_boundary(1, below), None, "fails at once");
+        assert_eq!(plot.row_boundary(1, above), None, "fails at once");
+        assert_eq!(plot.row_boundary(2, below), Some(0.0), "stops at the hole");
+        assert_eq!(plot.row_boundary(2, above), Some(2.0), "stops at the hole");
     }
 
     #[test]

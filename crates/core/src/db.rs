@@ -68,6 +68,10 @@ pub struct WorstCaseDatabase {
     capacity: usize,
     entries: Vec<WorstCaseTest>,
     failures: Vec<WorstCaseTest>,
+    /// `entries[i]`'s identity at index `i`, so an eviction needs no
+    /// re-expansion of the evicted stimulus.
+    #[serde(skip)]
+    entry_ids: Vec<u64>,
     #[serde(skip)]
     seen: HashSet<u64>,
 }
@@ -85,6 +89,7 @@ impl WorstCaseDatabase {
             capacity,
             entries: Vec::new(),
             failures: Vec::new(),
+            entry_ids: Vec::new(),
             seen: HashSet::new(),
         }
     }
@@ -96,6 +101,14 @@ impl WorstCaseDatabase {
     /// Returns `true` if the record was stored.
     pub fn insert(&mut self, record: WorstCaseTest) -> bool {
         let id = record.test.identity();
+        self.insert_identified(record, id)
+    }
+
+    /// [`Self::insert`] with the record's identity already known: `id`
+    /// must equal `record.test.identity()`, as a
+    /// [`PreparedTest::identity`](cichar_ate::PreparedTest::identity)
+    /// does without expanding the stimulus again.
+    pub(crate) fn insert_identified(&mut self, record: WorstCaseTest, id: u64) -> bool {
         if !self.seen.insert(id) {
             return false;
         }
@@ -103,13 +116,19 @@ impl WorstCaseDatabase {
             self.failures.push(record);
             return true;
         }
-        self.entries.push(record);
-        self.entries.sort_by(|a, b| b.wcr.total_cmp(&a.wcr));
+        // After every entry with an equal or larger WCR: where a push and a
+        // stable sort, largest first, would put it.
+        let at = self
+            .entries
+            .partition_point(|e| e.wcr.total_cmp(&record.wcr).is_ge());
+        self.entries.insert(at, record);
+        self.entry_ids.insert(at, id);
         if self.entries.len() > self.capacity {
-            let evicted = self.entries.pop().expect("over capacity");
-            self.seen.remove(&evicted.test.identity());
+            self.entries.pop();
+            let evicted = self.entry_ids.pop().expect("one id per entry");
+            self.seen.remove(&evicted);
             // Report stored=false if the new record itself was evicted.
-            return !self.seen.is_empty() && self.seen.contains(&id);
+            return at < self.entries.len();
         }
         true
     }
@@ -149,7 +168,8 @@ impl WorstCaseDatabase {
     }
 
     /// Loads a database saved by [`Self::save`], rebuilding the dedup
-    /// index.
+    /// index and the entry identities. Entries are put in WCR order, as
+    /// [`Self::save`] writes them, so inserts find their place.
     ///
     /// # Errors
     ///
@@ -158,11 +178,13 @@ impl WorstCaseDatabase {
         let json = fs::read_to_string(path)?;
         let mut db: Self = serde_json::from_str(&json)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        db.entries.sort_by(|a, b| b.wcr.total_cmp(&a.wcr));
+        db.entry_ids = db.entries.iter().map(|r| r.test.identity()).collect();
         db.seen = db
-            .entries
+            .entry_ids
             .iter()
-            .chain(&db.failures)
-            .map(|r| r.test.identity())
+            .copied()
+            .chain(db.failures.iter().map(|r| r.test.identity()))
             .collect();
         Ok(db)
     }

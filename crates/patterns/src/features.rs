@@ -110,7 +110,9 @@ pub struct PatternFeatures {
 }
 
 impl PatternFeatures {
-    /// Walks the pattern once and extracts all features.
+    /// Walks the pattern once and extracts all features, allocating
+    /// nothing: each read burst folds into the burst statistics as it
+    /// closes.
     ///
     /// Reads observe the data word carried by the vector (generators fill
     /// it from a tracked memory image, so it equals what the device drives
@@ -121,25 +123,25 @@ impl PatternFeatures {
         let mut writes = 0usize;
         let mut nops = 0usize;
 
-        let mut addr_ham_sum = 0.0;
+        // Hamming distances are integers, so their sums are exact as
+        // integers (and would be as `f64` below 2^53).
+        let mut addr_ham_sum = 0u64;
         let mut addr_ham_max = 0u32;
         let mut addr_pairs = 0usize;
 
-        let mut sso_sum = 0.0;
+        let mut sso_sum = 0u64;
         let mut sso_max = 0u32;
         let mut sso_pairs = 0usize;
 
         let mut row_switches = 0usize;
         let mut turnarounds = 0usize;
-        let mut data_toggle_sum = 0.0;
+        let mut data_toggle_sum = 0u64;
         let mut data_pairs = 0usize;
 
         let mut raw_hits = 0usize;
 
-        let mut bursts: Vec<(usize, f64, usize)> = Vec::new(); // (len, sso_sum, sso_pairs)
-        let mut burst_len = 0usize;
-        let mut burst_sso_sum = 0.0;
-        let mut burst_sso_pairs = 0usize;
+        let mut bursts = BurstFold::default();
+        let mut burst = OpenBurst::default();
 
         let mut prev_active: Option<(MemOp, u16, u16)> = None; // (op, addr, data)
         let mut last_write: Option<u16> = None;
@@ -152,17 +154,12 @@ impl PatternFeatures {
             }
             if v.op == MemOp::Nop {
                 // A NOP breaks a read burst but leaves bus state untouched.
-                if burst_len > 0 {
-                    bursts.push((burst_len, burst_sso_sum, burst_sso_pairs));
-                    burst_len = 0;
-                    burst_sso_sum = 0.0;
-                    burst_sso_pairs = 0;
-                }
+                bursts.close(&mut burst);
                 continue;
             }
             if let Some((prev_op, prev_addr, prev_data)) = prev_active {
                 let ah = hamming(prev_addr, v.address);
-                addr_ham_sum += f64::from(ah);
+                addr_ham_sum += u64::from(ah);
                 addr_ham_max = addr_ham_max.max(ah);
                 addr_pairs += 1;
                 if (prev_addr >> crate::vector::ROW_SHIFT) != (v.address >> crate::vector::ROW_SHIFT)
@@ -173,73 +170,53 @@ impl PatternFeatures {
                     turnarounds += 1;
                 }
                 let dh = hamming(prev_data, v.data);
-                data_toggle_sum += f64::from(dh);
+                data_toggle_sum += u64::from(dh);
                 data_pairs += 1;
                 if prev_op == MemOp::Read && v.op == MemOp::Read {
-                    sso_sum += f64::from(dh);
+                    sso_sum += u64::from(dh);
                     sso_max = sso_max.max(dh);
                     sso_pairs += 1;
-                    burst_sso_sum += f64::from(dh);
-                    burst_sso_pairs += 1;
+                    burst.sso_sum += u64::from(dh);
+                    burst.sso_pairs += 1;
                 }
             }
             if v.op == MemOp::Read {
-                burst_len += 1;
+                burst.len += 1;
                 if last_write == Some(v.address) {
                     raw_hits += 1;
                 }
-            } else if burst_len > 0 {
-                bursts.push((burst_len, burst_sso_sum, burst_sso_pairs));
-                burst_len = 0;
-                burst_sso_sum = 0.0;
-                burst_sso_pairs = 0;
+            } else {
+                bursts.close(&mut burst);
             }
             if v.op == MemOp::Write {
                 last_write = Some(v.address);
             }
             prev_active = Some((v.op, v.address, v.data));
         }
-        if burst_len > 0 {
-            bursts.push((burst_len, burst_sso_sum, burst_sso_pairs));
-        }
+        bursts.close(&mut burst);
 
         let bus_bits = f64::from(crate::vector::DATA_BITS);
-        let mean = |sum: f64, count: usize| if count > 0 { sum / count as f64 } else { 0.0 };
+        let burst_mean = mean(bursts.len_sum as f64, bursts.count);
 
-        let burst_max = bursts.iter().map(|b| b.0).max().unwrap_or(0);
-        let burst_mean = mean(bursts.iter().map(|b| b.0 as f64).sum(), bursts.len());
-
-        // SSO-weighted resonance: each burst contributes a Gaussian window
-        // around the resonant length scaled by the burst's own switching
-        // intensity; normalized by the densest possible packing of
-        // resonant bursts in this pattern.
-        let resonance_raw: f64 = bursts
-            .iter()
-            .map(|&(len, s, p)| {
-                let window = (-((len as f64 - RESONANT_BURST_LEN).powi(2))
-                    / (2.0 * RESONANCE_SIGMA * RESONANCE_SIGMA))
-                    .exp();
-                let burst_sso = mean(s, p) / bus_bits;
-                window * burst_sso
-            })
-            .sum();
+        // SSO-weighted resonance, normalized by the densest possible
+        // packing of resonant bursts in this pattern.
         let max_bursts = (n / (RESONANT_BURST_LEN + 1.0)).max(1.0);
-        let burst_resonance = (resonance_raw / max_bursts).clamp(0.0, 1.0);
+        let burst_resonance = (bursts.resonance / max_bursts).clamp(0.0, 1.0);
 
         Self {
             read_fraction: reads as f64 / n,
             write_fraction: writes as f64 / n,
             nop_fraction: nops as f64 / n,
-            addr_ham_mean: mean(addr_ham_sum, addr_pairs) / bus_bits,
+            addr_ham_mean: mean(addr_ham_sum as f64, addr_pairs) / bus_bits,
             addr_ham_max: f64::from(addr_ham_max) / bus_bits,
-            dq_sso_mean: mean(sso_sum, sso_pairs) / bus_bits,
+            dq_sso_mean: mean(sso_sum as f64, sso_pairs) / bus_bits,
             dq_sso_max: f64::from(sso_max) / bus_bits,
-            read_burst_max: (burst_max as f64 / 125.0).min(1.0),
+            read_burst_max: (bursts.len_max as f64 / 125.0).min(1.0),
             read_burst_mean: (burst_mean / 125.0).min(1.0),
             burst_resonance,
             row_switch_fraction: mean(row_switches as f64, addr_pairs),
             turnaround_density: mean(turnarounds as f64, addr_pairs),
-            data_toggle_mean: mean(data_toggle_sum, data_pairs) / bus_bits,
+            data_toggle_mean: mean(data_toggle_sum as f64, data_pairs) / bus_bits,
             read_after_write_fraction: mean(raw_hits as f64, reads),
         }
     }
@@ -270,6 +247,67 @@ impl PatternFeatures {
     /// normalization invariant.
     pub fn is_normalized(&self) -> bool {
         self.to_vec().iter().all(|&x| (0.0..=1.0).contains(&x))
+    }
+}
+
+/// `sum / count`, or 0 when nothing was counted.
+fn mean(sum: f64, count: usize) -> f64 {
+    if count > 0 {
+        sum / count as f64
+    } else {
+        0.0
+    }
+}
+
+/// The read burst in progress: its length and adjacent-read switching.
+#[derive(Default)]
+struct OpenBurst {
+    len: usize,
+    sso_sum: u64,
+    sso_pairs: usize,
+}
+
+/// Statistics over the closed read bursts, folded in burst order.
+struct BurstFold {
+    count: usize,
+    len_sum: usize,
+    len_max: usize,
+    /// Each burst's Gaussian window around [`RESONANT_BURST_LEN`], scaled
+    /// by the burst's own switching intensity; summed from `-0.0`, the
+    /// seed of `<f64 as Sum>`.
+    resonance: f64,
+}
+
+impl Default for BurstFold {
+    fn default() -> Self {
+        Self {
+            count: 0,
+            len_sum: 0,
+            len_max: 0,
+            resonance: -0.0,
+        }
+    }
+}
+
+impl BurstFold {
+    /// Folds `burst` in, if one is open, and resets it.
+    fn close(&mut self, burst: &mut OpenBurst) {
+        if burst.len == 0 {
+            return;
+        }
+        let OpenBurst {
+            len,
+            sso_sum,
+            sso_pairs,
+        } = std::mem::take(burst);
+        self.count += 1;
+        self.len_sum += len;
+        self.len_max = self.len_max.max(len);
+        let window = (-((len as f64 - RESONANT_BURST_LEN).powi(2))
+            / (2.0 * RESONANCE_SIGMA * RESONANCE_SIGMA))
+            .exp();
+        let burst_sso = mean(sso_sum as f64, sso_pairs) / f64::from(crate::vector::DATA_BITS);
+        self.resonance += window * burst_sso;
     }
 }
 

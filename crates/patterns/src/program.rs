@@ -258,113 +258,118 @@ impl SegmentProgram {
     /// Expands the program into its vector stream.
     ///
     /// Expansion is deterministic: the same program always yields the same
-    /// [`Pattern`]. A memory image — initialized to the device's
-    /// power-up background, see [`power_up_word`] — is tracked so read
-    /// cycles carry the data word the device will actually drive out,
-    /// the quantity simultaneous-switching stress depends on.
+    /// [`Pattern`]. The memory image is tracked so read cycles carry the
+    /// data word the device will actually drive out, the quantity
+    /// simultaneous-switching stress depends on: a cell the program has
+    /// written reads back its last write, across segments and loops, and
+    /// any other cell reads its power-up background ([`power_up_word`]).
+    /// Only the written cells are stored, so the vector buffer is the one
+    /// allocation.
     pub fn expand(&self) -> Pattern {
-        let mut image = power_up_image();
-        let mut vectors = Vec::new();
+        let mut written = WriteOverlay::new();
+        let mut vectors = Vec::with_capacity(
+            self.cycle_count()
+                .clamp(crate::MIN_PATTERN_LEN, crate::MAX_PATTERN_LEN),
+        );
         let mut prev_data: u16 = 0;
         'outer: for _ in 0..self.loops {
-        for seg in &self.segments {
-            let mut lcg_addr = u32::from(match seg.addr {
-                AddrMode::Lcg { seed } => seed,
-                _ => 0,
-            })
-            .wrapping_add(1);
-            let mut lcg_data = u32::from(match seg.data {
-                DataMode::Lcg(seed) => seed,
-                _ => 0,
-            })
-            .wrapping_add(1);
-            let mut pair_addr = seg.base;
-            let mut ping_pong = [seg.base; 2];
-            for i in 0..seg.len {
-                let i_usize = usize::from(i);
-                let addr = match seg.addr {
-                    AddrMode::Sequential { stride } => {
-                        seg.base.wrapping_add((stride as u16).wrapping_mul(i))
-                    }
-                    AddrMode::Toggle { mask } => {
-                        if i % 2 == 0 {
-                            seg.base
-                        } else {
-                            seg.base ^ mask
+            for seg in &self.segments {
+                let mut lcg_addr = u32::from(match seg.addr {
+                    AddrMode::Lcg { seed } => seed,
+                    _ => 0,
+                })
+                .wrapping_add(1);
+                let mut lcg_data = u32::from(match seg.data {
+                    DataMode::Lcg(seed) => seed,
+                    _ => 0,
+                })
+                .wrapping_add(1);
+                let mut pair_addr = seg.base;
+                let mut ping_pong = [seg.base; 2];
+                for i in 0..seg.len {
+                    let i_usize = usize::from(i);
+                    let addr = match seg.addr {
+                        AddrMode::Sequential { stride } => {
+                            seg.base.wrapping_add((stride as u16).wrapping_mul(i))
                         }
-                    }
-                    AddrMode::Hold => seg.base,
-                    AddrMode::Lcg { .. } => {
-                        lcg_addr = step_lcg(lcg_addr);
-                        (lcg_addr >> 8) as u16
-                    }
-                    AddrMode::RowBounce { distance } => {
-                        if i % 2 == 0 {
-                            seg.base
-                        } else {
-                            seg.base
-                                .wrapping_add(u16::from(distance) << ROW_SHIFT)
-                        }
-                    }
-                };
-                let (op, addr) = match seg.op {
-                    OpMode::WriteOnly => (MemOp::Write, addr),
-                    OpMode::ReadOnly => (MemOp::Read, addr),
-                    OpMode::WritePairRead => {
-                        // Even cycles pick a fresh address and write it; odd
-                        // cycles read the address just written.
-                        if i % 2 == 0 {
-                            pair_addr = addr;
-                            (MemOp::Write, addr)
-                        } else {
-                            (MemOp::Read, pair_addr)
-                        }
-                    }
-                    OpMode::AlternateWriteRead => {
-                        if i % 2 == 0 {
-                            (MemOp::Write, addr)
-                        } else {
-                            (MemOp::Read, addr)
-                        }
-                    }
-                    OpMode::WriteOnceReadBurst => {
-                        if i < 2 {
-                            ping_pong[usize::from(i)] = addr;
-                            (MemOp::Write, addr)
-                        } else {
-                            (MemOp::Read, ping_pong[usize::from(i % 2)])
-                        }
-                    }
-                };
-                let data = match op {
-                    MemOp::Read => image[usize::from(addr)],
-                    MemOp::Write | MemOp::Nop => match seg.data {
-                        DataMode::Constant(w) => w,
-                        DataMode::Alternating(w) => {
+                        AddrMode::Toggle { mask } => {
                             if i % 2 == 0 {
-                                w
+                                seg.base
                             } else {
-                                !w
+                                seg.base ^ mask
                             }
                         }
-                        DataMode::InvertPrevious => !prev_data,
-                        DataMode::WalkingOne => 1u16 << (i_usize % 16),
-                        DataMode::Lcg(_) => {
-                            lcg_data = step_lcg(lcg_data);
-                            (lcg_data >> 12) as u16
+                        AddrMode::Hold => seg.base,
+                        AddrMode::Lcg { .. } => {
+                            lcg_addr = step_lcg(lcg_addr);
+                            (lcg_addr >> 8) as u16
                         }
-                    },
-                };
-                if op == MemOp::Write {
-                    image[usize::from(addr)] = data;
-                }
-                prev_data = data;
-                vectors.push(TestVector::new(op, addr, data));
-                if vectors.len() >= crate::MAX_PATTERN_LEN {
-                    break 'outer;
+                        AddrMode::RowBounce { distance } => {
+                            if i % 2 == 0 {
+                                seg.base
+                            } else {
+                                seg.base.wrapping_add(u16::from(distance) << ROW_SHIFT)
+                            }
+                        }
+                    };
+                    let (op, addr) = match seg.op {
+                        OpMode::WriteOnly => (MemOp::Write, addr),
+                        OpMode::ReadOnly => (MemOp::Read, addr),
+                        OpMode::WritePairRead => {
+                            // Even cycles pick a fresh address and write it; odd
+                            // cycles read the address just written.
+                            if i % 2 == 0 {
+                                pair_addr = addr;
+                                (MemOp::Write, addr)
+                            } else {
+                                (MemOp::Read, pair_addr)
+                            }
+                        }
+                        OpMode::AlternateWriteRead => {
+                            if i % 2 == 0 {
+                                (MemOp::Write, addr)
+                            } else {
+                                (MemOp::Read, addr)
+                            }
+                        }
+                        OpMode::WriteOnceReadBurst => {
+                            if i < 2 {
+                                ping_pong[usize::from(i)] = addr;
+                                (MemOp::Write, addr)
+                            } else {
+                                (MemOp::Read, ping_pong[usize::from(i % 2)])
+                            }
+                        }
+                    };
+                    let data = match op {
+                        MemOp::Read => written.read(addr),
+                        MemOp::Write | MemOp::Nop => match seg.data {
+                            DataMode::Constant(w) => w,
+                            DataMode::Alternating(w) => {
+                                if i % 2 == 0 {
+                                    w
+                                } else {
+                                    !w
+                                }
+                            }
+                            DataMode::InvertPrevious => !prev_data,
+                            DataMode::WalkingOne => 1u16 << (i_usize % 16),
+                            DataMode::Lcg(_) => {
+                                lcg_data = step_lcg(lcg_data);
+                                (lcg_data >> 12) as u16
+                            }
+                        },
+                    };
+                    if op == MemOp::Write {
+                        written.write(addr, data);
+                    }
+                    prev_data = data;
+                    vectors.push(TestVector::new(op, addr, data));
+                    if vectors.len() >= crate::MAX_PATTERN_LEN {
+                        break 'outer;
+                    }
                 }
             }
-        }
         }
         Pattern::new_clamped(vectors)
     }
@@ -530,13 +535,59 @@ pub fn power_up_word(addr: u16) -> u16 {
     (x >> 8) as u16
 }
 
-/// The full power-up image, computed once and memcpy'd per expansion.
-fn power_up_image() -> Vec<u16> {
-    use std::sync::OnceLock;
-    static IMAGE: OnceLock<Vec<u16>> = OnceLock::new();
-    IMAGE
-        .get_or_init(|| (0..=u16::MAX).map(power_up_word).collect())
-        .clone()
+/// Slots in a [`WriteOverlay`]: a power of two, at least twice the most
+/// writes one expansion can make, so probe chains stay short and a free
+/// slot always exists.
+const OVERLAY_SLOTS: usize = 2048;
+
+const _: () =
+    assert!(OVERLAY_SLOTS.is_power_of_two() && OVERLAY_SLOTS >= 2 * crate::MAX_PATTERN_LEN);
+
+/// Marks a free [`WriteOverlay`] slot; addresses are 16-bit.
+const FREE: u32 = u32::MAX;
+
+/// The cells an expansion has written: an open-addressed table with
+/// linear probing, kept on the stack. Every other cell holds its
+/// power-up word.
+struct WriteOverlay {
+    addrs: [u32; OVERLAY_SLOTS],
+    words: [u16; OVERLAY_SLOTS],
+}
+
+impl WriteOverlay {
+    fn new() -> Self {
+        Self {
+            addrs: [FREE; OVERLAY_SLOTS],
+            words: [0; OVERLAY_SLOTS],
+        }
+    }
+
+    /// The slot holding `addr`, or the free slot where it would go.
+    fn slot(&self, addr: u16) -> usize {
+        // Fibonacci hashing: the top bits of a multiplicative hash.
+        let shift = u32::BITS - OVERLAY_SLOTS.trailing_zeros();
+        let mut i = (u32::from(addr).wrapping_mul(0x9E37_79B9) >> shift) as usize;
+        while self.addrs[i] != FREE && self.addrs[i] != u32::from(addr) {
+            i = (i + 1) & (OVERLAY_SLOTS - 1);
+        }
+        i
+    }
+
+    /// The word `addr` holds: its last write, else its power-up word.
+    fn read(&self, addr: u16) -> u16 {
+        let i = self.slot(addr);
+        if self.addrs[i] == FREE {
+            power_up_word(addr)
+        } else {
+            self.words[i]
+        }
+    }
+
+    fn write(&mut self, addr: u16, word: u16) {
+        let i = self.slot(addr);
+        self.addrs[i] = u32::from(addr);
+        self.words[i] = word;
+    }
 }
 
 #[cfg(test)]
@@ -712,8 +763,20 @@ mod tests {
     fn reads_of_unwritten_cells_match_the_full_image() {
         assert_matches_reference(
             &SegmentProgram::new(vec![
-                seg(OpMode::ReadOnly, AddrMode::Lcg { seed: 7 }, DataMode::Constant(0), 125, 0),
-                seg(OpMode::ReadOnly, AddrMode::Sequential { stride: -1 }, DataMode::Constant(0), 125, 3),
+                seg(
+                    OpMode::ReadOnly,
+                    AddrMode::Lcg { seed: 7 },
+                    DataMode::Constant(0),
+                    125,
+                    0,
+                ),
+                seg(
+                    OpMode::ReadOnly,
+                    AddrMode::Sequential { stride: -1 },
+                    DataMode::Constant(0),
+                    125,
+                    3,
+                ),
             ])
             .expect("valid"),
         );
@@ -722,13 +785,27 @@ mod tests {
     #[test]
     fn repeated_writes_to_one_address_keep_the_last_word() {
         let program = SegmentProgram::new(vec![
-            seg(OpMode::WriteOnly, AddrMode::Hold, DataMode::Lcg(3), 50, 0xBEEF),
-            seg(OpMode::ReadOnly, AddrMode::Hold, DataMode::Constant(0), 50, 0xBEEF),
+            seg(
+                OpMode::WriteOnly,
+                AddrMode::Hold,
+                DataMode::Lcg(3),
+                50,
+                0xBEEF,
+            ),
+            seg(
+                OpMode::ReadOnly,
+                AddrMode::Hold,
+                DataMode::Constant(0),
+                50,
+                0xBEEF,
+            ),
         ])
         .expect("valid");
         let pattern = program.expand();
         let last_write = pattern.vectors()[49].data;
-        assert!(pattern.vectors()[50..100].iter().all(|v| v.data == last_write));
+        assert!(pattern.vectors()[50..100]
+            .iter()
+            .all(|v| v.data == last_write));
         assert_matches_reference(&program);
     }
 
@@ -737,8 +814,20 @@ mod tests {
         // Loop 1 reads the power-up background; loops 2 and 3 read what
         // the second segment of the previous loop wrote.
         let program = SegmentProgram::new(vec![
-            seg(OpMode::ReadOnly, AddrMode::Sequential { stride: 1 }, DataMode::Constant(0), 50, 0x100),
-            seg(OpMode::WriteOnly, AddrMode::Sequential { stride: 1 }, DataMode::Constant(0xABCD), 50, 0x100),
+            seg(
+                OpMode::ReadOnly,
+                AddrMode::Sequential { stride: 1 },
+                DataMode::Constant(0),
+                50,
+                0x100,
+            ),
+            seg(
+                OpMode::WriteOnly,
+                AddrMode::Sequential { stride: 1 },
+                DataMode::Constant(0xABCD),
+                50,
+                0x100,
+            ),
         ])
         .expect("valid")
         .with_loops(3);
@@ -751,10 +840,34 @@ mod tests {
     #[test]
     fn toggle_row_bounce_and_lcg_modes_match_the_full_image() {
         let program = SegmentProgram::new(vec![
-            seg(OpMode::AlternateWriteRead, AddrMode::Toggle { mask: 0x0F0F }, DataMode::InvertPrevious, 40, 0x1234),
-            seg(OpMode::WritePairRead, AddrMode::RowBounce { distance: 200 }, DataMode::WalkingOne, 41, 0xFF00),
-            seg(OpMode::WriteOnceReadBurst, AddrMode::Lcg { seed: 0xFFFF }, DataMode::Lcg(0xFFFF), 125, 0),
-            seg(OpMode::ReadOnly, AddrMode::RowBounce { distance: 1 }, DataMode::Alternating(0x5555), 33, 0xFF00),
+            seg(
+                OpMode::AlternateWriteRead,
+                AddrMode::Toggle { mask: 0x0F0F },
+                DataMode::InvertPrevious,
+                40,
+                0x1234,
+            ),
+            seg(
+                OpMode::WritePairRead,
+                AddrMode::RowBounce { distance: 200 },
+                DataMode::WalkingOne,
+                41,
+                0xFF00,
+            ),
+            seg(
+                OpMode::WriteOnceReadBurst,
+                AddrMode::Lcg { seed: 0xFFFF },
+                DataMode::Lcg(0xFFFF),
+                125,
+                0,
+            ),
+            seg(
+                OpMode::ReadOnly,
+                AddrMode::RowBounce { distance: 1 },
+                DataMode::Alternating(0x5555),
+                33,
+                0xFF00,
+            ),
         ])
         .expect("valid")
         .with_loops(2);
@@ -764,7 +877,15 @@ mod tests {
     #[test]
     fn truncation_at_the_cycle_cap_matches_the_full_image() {
         let segments = (0..8u16)
-            .map(|k| seg(OpMode::AlternateWriteRead, AddrMode::Lcg { seed: k }, DataMode::Lcg(k), 125, 0))
+            .map(|k| {
+                seg(
+                    OpMode::AlternateWriteRead,
+                    AddrMode::Lcg { seed: k },
+                    DataMode::Lcg(k),
+                    125,
+                    0,
+                )
+            })
             .collect();
         let program = SegmentProgram::new(segments).expect("valid").with_loops(10);
         assert_eq!(program.expand().len(), crate::MAX_PATTERN_LEN);

@@ -161,7 +161,14 @@ impl Test {
     /// Stable identity for deduplication: stimulus hash plus quantized
     /// conditions.
     pub fn identity(&self) -> u64 {
-        let pattern_hash = self.pattern().content_hash();
+        self.identity_from_hash(self.pattern().content_hash())
+    }
+
+    /// [`Self::identity`] from a pattern hash the caller already holds:
+    /// `pattern_hash` must be this test's `pattern().content_hash()`. A
+    /// prepared test computes that hash once and passes it here instead of
+    /// expanding the stimulus again.
+    pub fn identity_from_hash(&self, pattern_hash: u64) -> u64 {
         let mix = |h: u64, v: u64| {
             (h ^ v)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)

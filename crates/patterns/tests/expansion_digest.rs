@@ -104,8 +104,14 @@ fn digest_of(tests: &[Test]) -> u64 {
 fn corpus_covers_long_looped_and_truncated_programs() {
     let tests = corpus();
     let lens: Vec<usize> = tests.iter().map(|t| t.pattern().len()).collect();
-    assert!(lens.contains(&cichar_patterns::MAX_PATTERN_LEN), "truncation reached");
-    assert!(lens.contains(&cichar_patterns::MIN_PATTERN_LEN), "padding reached");
+    assert!(
+        lens.contains(&cichar_patterns::MAX_PATTERN_LEN),
+        "truncation reached"
+    );
+    assert!(
+        lens.contains(&cichar_patterns::MIN_PATTERN_LEN),
+        "padding reached"
+    );
 }
 
 #[test]
