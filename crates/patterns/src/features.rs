@@ -123,19 +123,17 @@ impl PatternFeatures {
         let mut writes = 0usize;
         let mut nops = 0usize;
 
-        // Hamming distances are integers, so their sums are exact as
-        // integers (and would be as `f64` below 2^53).
-        let mut addr_ham_sum = 0u64;
+        let mut addr_ham_sum = 0.0;
         let mut addr_ham_max = 0u32;
         let mut addr_pairs = 0usize;
 
-        let mut sso_sum = 0u64;
+        let mut sso_sum = 0.0;
         let mut sso_max = 0u32;
         let mut sso_pairs = 0usize;
 
         let mut row_switches = 0usize;
         let mut turnarounds = 0usize;
-        let mut data_toggle_sum = 0u64;
+        let mut data_toggle_sum = 0.0;
         let mut data_pairs = 0usize;
 
         let mut raw_hits = 0usize;
@@ -159,7 +157,7 @@ impl PatternFeatures {
             }
             if let Some((prev_op, prev_addr, prev_data)) = prev_active {
                 let ah = hamming(prev_addr, v.address);
-                addr_ham_sum += u64::from(ah);
+                addr_ham_sum += f64::from(ah);
                 addr_ham_max = addr_ham_max.max(ah);
                 addr_pairs += 1;
                 if (prev_addr >> crate::vector::ROW_SHIFT) != (v.address >> crate::vector::ROW_SHIFT)
@@ -170,13 +168,13 @@ impl PatternFeatures {
                     turnarounds += 1;
                 }
                 let dh = hamming(prev_data, v.data);
-                data_toggle_sum += u64::from(dh);
+                data_toggle_sum += f64::from(dh);
                 data_pairs += 1;
                 if prev_op == MemOp::Read && v.op == MemOp::Read {
-                    sso_sum += u64::from(dh);
+                    sso_sum += f64::from(dh);
                     sso_max = sso_max.max(dh);
                     sso_pairs += 1;
-                    burst.sso_sum += u64::from(dh);
+                    burst.sso_sum += f64::from(dh);
                     burst.sso_pairs += 1;
                 }
             }
@@ -207,16 +205,16 @@ impl PatternFeatures {
             read_fraction: reads as f64 / n,
             write_fraction: writes as f64 / n,
             nop_fraction: nops as f64 / n,
-            addr_ham_mean: mean(addr_ham_sum as f64, addr_pairs) / bus_bits,
+            addr_ham_mean: mean(addr_ham_sum, addr_pairs) / bus_bits,
             addr_ham_max: f64::from(addr_ham_max) / bus_bits,
-            dq_sso_mean: mean(sso_sum as f64, sso_pairs) / bus_bits,
+            dq_sso_mean: mean(sso_sum, sso_pairs) / bus_bits,
             dq_sso_max: f64::from(sso_max) / bus_bits,
             read_burst_max: (bursts.len_max as f64 / 125.0).min(1.0),
             read_burst_mean: (burst_mean / 125.0).min(1.0),
             burst_resonance,
             row_switch_fraction: mean(row_switches as f64, addr_pairs),
             turnaround_density: mean(turnarounds as f64, addr_pairs),
-            data_toggle_mean: mean(data_toggle_sum as f64, data_pairs) / bus_bits,
+            data_toggle_mean: mean(data_toggle_sum, data_pairs) / bus_bits,
             read_after_write_fraction: mean(raw_hits as f64, reads),
         }
     }
@@ -263,13 +261,14 @@ fn mean(sum: f64, count: usize) -> f64 {
 #[derive(Default)]
 struct OpenBurst {
     len: usize,
-    sso_sum: u64,
+    sso_sum: f64,
     sso_pairs: usize,
 }
 
 /// Statistics over the closed read bursts, folded in burst order.
 struct BurstFold {
     count: usize,
+    /// Integer, so exactly the `f64` sum of lengths it replaced.
     len_sum: usize,
     len_max: usize,
     /// Each burst's Gaussian window around [`RESONANT_BURST_LEN`], scaled
@@ -306,7 +305,7 @@ impl BurstFold {
         let window = (-((len as f64 - RESONANT_BURST_LEN).powi(2))
             / (2.0 * RESONANCE_SIGMA * RESONANCE_SIGMA))
             .exp();
-        let burst_sso = mean(sso_sum as f64, sso_pairs) / f64::from(crate::vector::DATA_BITS);
+        let burst_sso = mean(sso_sum, sso_pairs) / f64::from(crate::vector::DATA_BITS);
         self.resonance += window * burst_sso;
     }
 }
